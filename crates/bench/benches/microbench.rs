@@ -166,11 +166,6 @@ fn main() {
             DropBack::new(20_000).step(net.store_mut(), 0.1);
             black_box(net.store().params()[0]);
         }));
-        let mut net = build();
-        results.push(bench("optimizer/dropback_sparse_90k_k20k", budget, || {
-            SparseDropBack::new(20_000).step(net.store_mut(), 0.1);
-            black_box(net.store().params()[0]);
-        }));
     }
 
     // Full forward+backward training steps.

@@ -37,7 +37,7 @@ fn prep_snapshot_dir(seed: u64) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dropback-bench-serve-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut net = models::mnist_100_100(seed);
-    let mut opt = SparseDropBack::new(20_000);
+    let mut opt = DropBack::new(20_000);
     opt.step(net.store_mut(), 0.0);
     for i in 0..20_000 {
         net.store_mut().params_mut()[(i * 4) % 89_610] = (i % 631) as f32 * 1e-3 - 0.3;

@@ -12,7 +12,7 @@
 //! layouts and recovery semantics.
 
 use dropback_nn::Network;
-use dropback_optim::{SparseDropBack, StateError};
+use dropback_optim::StateError;
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -125,18 +125,6 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Captures a checkpoint from a network trained with
-    /// [`SparseDropBack`] (whose tracked map *is* the stored model).
-    pub fn from_sparse(net: &Network, opt: &SparseDropBack) -> Self {
-        // The tracked map is a BTreeMap, so this iteration is already in
-        // ascending index order — the checkpoint's canonical layout.
-        let entries: Vec<(u64, f32)> = opt.tracked().iter().map(|(&i, &w)| (i as u64, w)).collect();
-        Self {
-            seed: net.store().seed(),
-            entries,
-        }
-    }
-
     /// Captures a checkpoint from a dense store plus a tracked mask
     /// (e.g. [`dropback_optim::DropBack::mask`]).
     ///
@@ -273,12 +261,12 @@ mod tests {
     use super::*;
     use dropback_data::synthetic_mnist;
     use dropback_nn::models;
-    use dropback_optim::Optimizer as _;
+    use dropback_optim::{DropBack, Optimizer as _};
 
-    fn trained() -> (Network, SparseDropBack) {
+    fn trained() -> (Network, DropBack) {
         let (train, _) = synthetic_mnist(300, 50, 5);
         let mut net = models::mnist_100_100(5);
-        let mut opt = SparseDropBack::new(4_000);
+        let mut opt = DropBack::new(4_000);
         let batcher = dropback_data::Batcher::new(64, 1);
         for (x, labels) in batcher.epoch(&train, 0) {
             let _ = net.loss_backward(&x, &labels);
@@ -290,7 +278,7 @@ mod tests {
     #[test]
     fn roundtrip_through_bytes_is_bit_exact() {
         let (net, opt) = trained();
-        let ckpt = Checkpoint::from_sparse(&net, &opt);
+        let ckpt = Checkpoint::from_mask(&net, opt.mask()).unwrap();
         let mut buf = Vec::new();
         ckpt.write_to(&mut buf).unwrap();
         assert_eq!(buf.len(), ckpt.size_bytes());
@@ -305,22 +293,23 @@ mod tests {
     #[test]
     fn checkpoint_is_small() {
         let (net, opt) = trained();
-        let ckpt = Checkpoint::from_sparse(&net, &opt);
+        let ckpt = Checkpoint::from_mask(&net, opt.mask()).unwrap();
         assert!(ckpt.len() <= 4_000);
         // 89,610 f32s dense = 358 KB; 4k entries = 48 KB + header.
         assert!(ckpt.size_bytes() < 50_000);
     }
 
     #[test]
-    fn from_mask_matches_from_sparse() {
+    fn from_mask_stores_exactly_the_tracked_weights() {
         let (net, opt) = trained();
-        let from_sparse = Checkpoint::from_sparse(&net, &opt);
-        let mut mask = vec![false; net.num_params()];
-        for &i in opt.tracked().keys() {
-            mask[i] = true;
+        let ckpt = Checkpoint::from_mask(&net, opt.mask()).unwrap();
+        assert_eq!(ckpt.len(), opt.tracked_count());
+        let indices: Vec<u64> = ckpt.entries.iter().map(|&(i, _)| i).collect();
+        assert!(indices.windows(2).all(|w| w[0] < w[1]), "not index-ordered");
+        for &(i, w) in &ckpt.entries {
+            assert!(opt.mask()[i as usize]);
+            assert_eq!(w.to_bits(), net.store().params()[i as usize].to_bits());
         }
-        let from_mask = Checkpoint::from_mask(&net, &mask).unwrap();
-        assert_eq!(from_sparse, from_mask);
     }
 
     #[test]
@@ -339,7 +328,7 @@ mod tests {
     #[test]
     fn wrong_seed_is_a_typed_error_not_a_panic() {
         let (net, opt) = trained();
-        let ckpt = Checkpoint::from_sparse(&net, &opt);
+        let ckpt = Checkpoint::from_mask(&net, opt.mask()).unwrap();
         let mut other = models::mnist_100_100(999);
         let before = other.store().params().to_vec();
         let err = ckpt.apply(&mut other).unwrap_err();
@@ -373,7 +362,7 @@ mod tests {
     #[test]
     fn truncated_stream_is_an_error() {
         let (net, opt) = trained();
-        let ckpt = Checkpoint::from_sparse(&net, &opt);
+        let ckpt = Checkpoint::from_mask(&net, opt.mask()).unwrap();
         let mut buf = Vec::new();
         ckpt.write_to(&mut buf).unwrap();
         buf.truncate(buf.len() - 3);

@@ -97,7 +97,7 @@ pub mod prelude {
     pub use dropback_nn::{models, Layer, Mode, Network, ParamStore};
     pub use dropback_optim::{
         DropBack, KlAnneal, LrSchedule, MagnitudePruning, NetworkSlimming, Optimizer, Quantized,
-        Quantizer, Sgd, SparseDropBack,
+        Quantizer, Sgd,
     };
     pub use dropback_telemetry::{
         Event, EventSink, JsonlSink, NullSink, StderrSink, TeeSink, Telemetry, TelemetrySnapshot,

@@ -8,10 +8,10 @@
 //! CPU); this module shows the dense view is unnecessary and counts the
 //! traffic the energy model charges for.
 //!
-//! The tracked map is a `BTreeMap` to match
-//! [`dropback_optim::SparseDropBack::tracked`]: index-ordered iteration
-//! keeps every walk over the stored weights reproducible, which the
-//! `dropback-lint` `hash-iteration` rule checks mechanically.
+//! The tracked map is a `BTreeMap`, like a checkpoint's ascending entry
+//! list: index-ordered iteration keeps every walk over the stored weights
+//! reproducible, which the `dropback-lint` `hash-iteration` rule checks
+//! mechanically.
 //!
 //! Shape errors surface as [`StreamError`] values rather than panics so a
 //! caller wiring up a model zoo entry gets an actionable message instead
@@ -119,7 +119,7 @@ impl StreamingLinear {
     /// Builds a streaming evaluator for the linear layer whose ranges are
     /// `weight` (length `in_dim * out_dim`, row-major `[out, in]`) and
     /// optional `bias`, with tracked entries taken from `tracked`
-    /// (global-index keyed, e.g. [`dropback_optim::SparseDropBack::tracked`]).
+    /// (global-index keyed, e.g. a checkpoint's entries).
     ///
     /// # Errors
     ///
@@ -405,13 +405,22 @@ mod tests {
     use super::*;
     use dropback_data::{synthetic_mnist, Batcher};
     use dropback_nn::{models, Mode};
-    use dropback_optim::{Optimizer as _, SparseDropBack};
+    use dropback_optim::{DropBack, Optimizer as _};
+
+    /// The stored model as an index → value map: the tracked mask plus
+    /// the current parameters.
+    fn tracked_map(ps: &ParamStore, opt: &DropBack) -> BTreeMap<usize, f32> {
+        (0..ps.len())
+            .filter(|&i| opt.mask()[i])
+            .map(|i| (i, ps.params()[i]))
+            .collect()
+    }
 
     #[test]
     fn streaming_matches_dense_forward_exactly() {
         let (train, test) = synthetic_mnist(400, 64, 13);
         let mut net = models::mnist_100_100(13);
-        let mut opt = SparseDropBack::new(6_000);
+        let mut opt = DropBack::new(6_000);
         let batcher = Batcher::new(64, 3);
         for (x, labels) in batcher.epoch(&train, 0) {
             let _ = net.loss_backward(&x, &labels);
@@ -420,7 +429,8 @@ mod tests {
         let (x, _) = test.batch(0, 16);
         let dense = net.forward(&x, Mode::Eval);
         let (streamed, stats) =
-            stream_mlp_forward(net.store(), opt.tracked(), &x).expect("zoo MLP streams");
+            stream_mlp_forward(net.store(), &tracked_map(net.store(), &opt), &x)
+                .expect("zoo MLP streams");
         assert_eq!(dense.shape(), streamed.shape());
         for (a, b) in dense.data().iter().zip(streamed.data()) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
@@ -480,13 +490,14 @@ mod tests {
     fn batched_forward_is_bit_identical_to_per_sample_calls() {
         let (train, test) = synthetic_mnist(300, 48, 41);
         let mut net = models::mnist_100_100(41);
-        let mut opt = SparseDropBack::new(5_000);
+        let mut opt = DropBack::new(5_000);
         let batcher = Batcher::new(48, 1);
         for (x, labels) in batcher.epoch(&train, 0) {
             let _ = net.loss_backward(&x, &labels);
             opt.step(net.store_mut(), 0.1);
         }
-        let model = StreamingModel::new(net.store(), opt.tracked()).expect("zoo MLP streams");
+        let model = StreamingModel::new(net.store(), &tracked_map(net.store(), &opt))
+            .expect("zoo MLP streams");
         assert_eq!(model.in_dim(), 784);
         assert_eq!(model.out_dim(), 10);
         assert!(model.stored() <= 5_000);

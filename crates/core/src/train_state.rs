@@ -8,7 +8,7 @@
 //! * parameter deltas — every weight whose IEEE-754 bits differ from its
 //!   regenerated init value (≤ `k` entries for DropBack rules, all `n`
 //!   for dense baselines);
-//! * the optimizer's [`OptState`] (tracked map / mask, momentum,
+//! * the optimizer's [`OptState`] (tracked mask, momentum,
 //!   counters) via [`dropback_optim::Optimizer::snapshot_state`];
 //! * loop bookkeeping — epoch/iteration counters, shuffle seed,
 //!   best-validation/patience state, and the per-epoch history so the
@@ -175,9 +175,6 @@ impl TrainState {
         }
         let n = net.num_params();
         if let Some(&(bad, _)) = self.entries.iter().find(|&&(i, _)| i as usize >= n) {
-            return Err(CheckpointError::IndexOutOfRange { index: bad, len: n });
-        }
-        if let Some(bad) = self.opt_state.max_pair_index().filter(|&i| i as usize >= n) {
             return Err(CheckpointError::IndexOutOfRange { index: bad, len: n });
         }
         optimizer.restore_state(&self.opt_state)?;
@@ -524,12 +521,12 @@ mod tests {
     use super::*;
     use dropback_data::synthetic_mnist;
     use dropback_nn::models;
-    use dropback_optim::{SgdMomentum, SparseDropBack};
+    use dropback_optim::{DropBack, OptState, SgdMomentum};
 
-    fn trained_snapshot() -> (Network, SparseDropBack, TrainState) {
+    fn trained_snapshot() -> (Network, DropBack, TrainState) {
         let (train, _) = synthetic_mnist(200, 40, 9);
         let mut net = models::mnist_100_100(9);
-        let mut opt = SparseDropBack::new(3_000).freeze_after(2);
+        let mut opt = DropBack::new(3_000).freeze_after(2);
         let batcher = dropback_data::Batcher::new(64, 0x5EED);
         let mut iteration = 0u64;
         for (x, labels) in batcher.epoch(&train, 0) {
@@ -571,10 +568,10 @@ mod tests {
     fn restore_reconstructs_params_and_optimizer() {
         let (net, opt, state) = trained_snapshot();
         let mut net2 = models::mnist_100_100(9);
-        let mut opt2 = SparseDropBack::new(3_000).freeze_after(2);
+        let mut opt2 = DropBack::new(3_000).freeze_after(2);
         let progress = state.restore_into(&mut net2, &mut opt2, 0x5EED).unwrap();
         assert_eq!(net.store().params(), net2.store().params());
-        assert_eq!(opt.tracked(), opt2.tracked());
+        assert_eq!(opt.mask(), opt2.mask());
         assert_eq!(progress.next_epoch, 1);
         assert_eq!(progress.history.len(), 1);
     }
@@ -587,7 +584,7 @@ mod tests {
         for p in net2.store_mut().params_mut().iter_mut().take(100) {
             *p = 123.0;
         }
-        let mut opt2 = SparseDropBack::new(3_000).freeze_after(2);
+        let mut opt2 = DropBack::new(3_000).freeze_after(2);
         state.restore_into(&mut net2, &mut opt2, 0x5EED).unwrap();
         assert_eq!(net.store().params(), net2.store().params());
     }
@@ -595,7 +592,7 @@ mod tests {
     #[test]
     fn incompatibilities_are_typed_and_actionable() {
         let (_, _, state) = trained_snapshot();
-        let mk_opt = || SparseDropBack::new(3_000).freeze_after(2);
+        let mk_opt = || DropBack::new(3_000).freeze_after(2);
         // Wrong init seed.
         let err = state
             .restore_into(&mut models::mnist_100_100(10), &mut mk_opt(), 0x5EED)
@@ -624,11 +621,30 @@ mod tests {
         let err = state
             .restore_into(
                 &mut models::mnist_100_100(9),
-                &mut SparseDropBack::new(99),
+                &mut DropBack::new(99),
                 0x5EED,
             )
             .unwrap_err();
         assert!(matches!(err, CheckpointError::Incompatible(_)));
+    }
+
+    #[test]
+    fn retired_sparse_rule_snapshots_are_refused_by_name() {
+        let (_, _, mut state) = trained_snapshot();
+        state.optimizer = "dropback-sparse".into();
+        state.opt_state = OptState::new("dropback-sparse")
+            .with("tracked", StateField::Pairs(vec![(0, 0.5), (7, -0.25)]));
+        let mut buf = Vec::new();
+        state.write_to(&mut buf).unwrap();
+        let state = TrainState::read_from(&buf[..]).expect("old snapshots still decode");
+        let mut net = models::mnist_100_100(9);
+        let err = state
+            .restore_into(&mut net, &mut DropBack::new(3_000).freeze_after(2), 0x5EED)
+            .unwrap_err();
+        assert!(matches!(err, CheckpointError::Incompatible(_)), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("\"dropback-sparse\""), "{msg}");
+        assert!(msg.contains("\"dropback\""), "{msg}");
     }
 
     #[test]

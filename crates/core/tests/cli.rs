@@ -154,6 +154,30 @@ fn resume_with_incompatible_seed_exits_2_with_actionable_error() {
 }
 
 #[test]
+fn resume_from_a_retired_sparse_rule_snapshot_exits_2() {
+    let dir = tmp_dir("sparse-era");
+    let first = tiny_train(&dir, "2", "13", false);
+    assert!(first.status.success());
+    // Rewrite every snapshot as the retired `dropback-sparse` rule wrote it.
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        let bytes = std::fs::read(&path).unwrap();
+        let mut state = dropback::TrainState::read_from(&bytes[..]).unwrap();
+        state.optimizer = "dropback-sparse".into();
+        state.opt_state = dropback::optim::OptState::new("dropback-sparse");
+        let mut out = Vec::new();
+        state.write_to(&mut out).unwrap();
+        std::fs::write(&path, out).unwrap();
+    }
+    let resumed = tiny_train(&dir, "4", "13", true);
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert_eq!(resumed.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("\"dropback-sparse\""), "got: {stderr}");
+    assert!(stderr.contains("\"dropback\""), "got: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn resume_without_checkpoint_dir_is_an_error() {
     let out = cli(&["train", "--resume", "--epochs", "1"]);
     assert!(!out.status.success());

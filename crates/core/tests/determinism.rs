@@ -6,11 +6,12 @@
 
 use dropback::prelude::*;
 
-/// Trains a fresh model with the sparse rule and returns the optimizer.
-fn sparse_run(seed: u64) -> (Network, SparseDropBack) {
+/// Trains a fresh model with DropBack and returns its checkpoint: the
+/// tracked `(index, value)` entries in ascending index order.
+fn dropback_run(seed: u64) -> Checkpoint {
     let (train, _) = synthetic_mnist(400, 64, seed);
     let mut net = models::mnist_100_100(seed);
-    let mut opt = SparseDropBack::new(5_000).freeze_after(2);
+    let mut opt = DropBack::new(5_000).freeze_after(2);
     let batcher = Batcher::new(64, 3);
     for epoch in 0..3u64 {
         for (x, labels) in batcher.epoch(&train, epoch) {
@@ -19,26 +20,24 @@ fn sparse_run(seed: u64) -> (Network, SparseDropBack) {
         }
         opt.end_epoch(epoch as usize, net.store_mut());
     }
-    (net, opt)
+    Checkpoint::from_mask(&net, opt.mask()).unwrap()
 }
 
 #[test]
 fn same_seed_runs_produce_identical_tracked_sets() {
-    let (_, a) = sparse_run(41);
-    let (_, b) = sparse_run(41);
-    let idx_a: Vec<usize> = a.tracked().keys().copied().collect();
-    let idx_b: Vec<usize> = b.tracked().keys().copied().collect();
-    assert_eq!(idx_a, idx_b, "tracked index sets diverged");
+    let a = dropback_run(41);
+    let b = dropback_run(41);
+    assert!(!a.is_empty());
     // Values must agree to the bit, not to a tolerance: untracked weights
     // are regenerated from regen(seed, index), so any drift in the stored
-    // ones breaks checkpoint replay.
-    for (i, va) in a.tracked() {
-        let vb = b.tracked()[i];
-        assert_eq!(va.to_bits(), vb.to_bits(), "weight {i} drifted");
-    }
-    // And the iteration order is the index order (BTreeMap) — the
-    // property checkpoint serialization relies on.
-    assert!(idx_a.windows(2).all(|w| w[0] < w[1]), "not index-ordered");
+    // ones breaks checkpoint replay. The serialized entries carry every
+    // index and value bit, in index order.
+    let bytes = |c: &Checkpoint| {
+        let mut buf = Vec::new();
+        c.write_to(&mut buf).unwrap();
+        buf
+    };
+    assert_eq!(bytes(&a), bytes(&b));
 }
 
 #[test]
@@ -49,7 +48,7 @@ fn same_seed_reports_render_identical_json() {
         Trainer::new(cfg)
             .run(
                 models::mnist_100_100(seed),
-                SparseDropBack::new(5_000),
+                DropBack::new(5_000),
                 &train,
                 &test,
             )

@@ -90,10 +90,9 @@ fn assert_bit_identical(a: (TrainReport, Vec<u32>), b: (TrainReport, Vec<u32>)) 
 }
 
 #[test]
-fn sparse_dropback_resume_is_bit_identical() {
-    let dir = tmp_dir("sparse");
-    let mk: &dyn Fn() -> Box<dyn Optimizer> =
-        &|| Box::new(SparseDropBack::new(4_000).freeze_after(3));
+fn frozen_dropback_resume_is_bit_identical() {
+    let dir = tmp_dir("frozen");
+    let mk: &dyn Fn() -> Box<dyn Optimizer> = &|| Box::new(DropBack::new(4_000).freeze_after(3));
     let straight = straight_run(mk, 5);
     let resumed = interrupted_run(mk, 3, 5, &dir);
     assert_bit_identical(straight, resumed);
@@ -123,7 +122,7 @@ fn sgd_resume_is_bit_identical() {
 #[test]
 fn resume_survives_injected_write_faults_bit_identically() {
     let dir = tmp_dir("faulty");
-    let mk = || SparseDropBack::new(4_000).freeze_after(3);
+    let mk = || DropBack::new(4_000).freeze_after(3);
     let mk_dyn: &dyn Fn() -> Box<dyn Optimizer> = &|| Box::new(mk());
     let straight = straight_run(mk_dyn, 5);
 
@@ -166,7 +165,7 @@ fn resume_survives_injected_write_faults_bit_identically() {
 #[test]
 fn resume_falls_back_past_corrupted_newest_snapshot() {
     let dir = tmp_dir("corrupt-newest");
-    let mk = || SparseDropBack::new(4_000).freeze_after(3);
+    let mk = || DropBack::new(4_000).freeze_after(3);
     let mk_dyn: &dyn Fn() -> Box<dyn Optimizer> = &|| Box::new(mk());
     let straight = straight_run(mk_dyn, 5);
 
@@ -220,7 +219,7 @@ fn resume_with_wrong_seed_is_a_typed_incompatibility() {
     let mut tel = Telemetry::disabled();
     {
         let mut net = models::mnist_100_100(7);
-        let mut opt = SparseDropBack::new(4_000);
+        let mut opt = DropBack::new(4_000);
         let mut store = CheckpointStore::open(&dir).unwrap();
         let _ = Trainer::new(config(2))
             .run_resumable(&mut net, &mut opt, &train, &val, &mut store, &mut tel)
@@ -228,7 +227,7 @@ fn resume_with_wrong_seed_is_a_typed_incompatibility() {
     }
     // Different init seed: untracked weights would regenerate differently.
     let mut net = models::mnist_100_100(8);
-    let mut opt = SparseDropBack::new(4_000);
+    let mut opt = DropBack::new(4_000);
     let mut store = CheckpointStore::open(&dir).unwrap();
     let err = Trainer::new(config(4))
         .run_resumable(&mut net, &mut opt, &train, &val, &mut store, &mut tel)

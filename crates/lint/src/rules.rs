@@ -612,7 +612,7 @@ mod tests {
     fn hashmap_flagged_only_in_determinism_paths() {
         let src = "use std::collections::HashMap;";
         assert_eq!(
-            rules_hit("crates/optim/src/sparse.rs", src),
+            rules_hit("crates/optim/src/dropback.rs", src),
             vec!["hash-iteration"]
         );
         assert!(rules_hit("crates/nn/src/linear.rs", src).is_empty());
@@ -622,7 +622,7 @@ mod tests {
     #[test]
     fn hashmap_in_string_or_comment_is_clean() {
         let src = "// a HashMap would be bad here\nfn f() -> &'static str { \"HashMap\" }";
-        assert!(rules_hit("crates/optim/src/sparse.rs", src).is_empty());
+        assert!(rules_hit("crates/optim/src/dropback.rs", src).is_empty());
     }
 
     #[test]

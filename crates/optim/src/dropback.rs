@@ -3,7 +3,7 @@
 use crate::state::encode_opt_epoch;
 use crate::topk::top_k_mask_sharded;
 use crate::{OptState, Optimizer, StateError, StateField};
-use dropback_nn::ParamStore;
+use dropback_nn::{InitScheme, ParamStore};
 use dropback_telemetry::Span;
 use dropback_tensor::pool;
 
@@ -25,10 +25,16 @@ const CHUNK: usize = 1 << 14;
 ///
 /// The top-`k` scores become the new tracked set (`λ = S_k`,
 /// `mask = 1(S > λ)`, ties broken by index). Tracked weights take the SGD
-/// update `w -= lr · g`; untracked weights are **regenerated to their
-/// initialization values** — the invariant `untracked ⇒ w[i] == init(i)`
-/// holds after every step, so only `k` weights ever need storing (see
-/// [`crate::SparseDropBack`] for the explicitly-sparse demonstration).
+/// update `w -= lr · g`; untracked weights hold their **initialization
+/// values**, so the invariant `untracked ⇒ w[i] == init(i)` holds after
+/// every step and only `k` weights ever need storing: the mask plus the
+/// parameters are the `(index, value)` view (see [`DropBack::mask`]).
+///
+/// Because untracked weights already sit at init, a step regenerates only
+/// the weights it **evicts** (`old ∧ ¬new`); a frozen step regenerates
+/// none. The first step after [`DropBack::new`] or
+/// [`Optimizer::restore_state`] sweeps every untracked weight once, so a
+/// store that does not start at init is still brought onto the invariant.
 ///
 /// After [`DropBack::freeze_after`] epochs the tracked set is fixed and
 /// untracked gradients stop participating (§2.1: "Freeze the set of tracked
@@ -41,7 +47,12 @@ pub struct DropBack {
     zero_untracked: bool,
     mask: Vec<bool>,
     scores: Vec<f32>,
+    /// Whether a step has swept every untracked weight onto its origin
+    /// since construction or restore. Not serialized: a restored rule
+    /// sweeps once more.
+    swept: bool,
     last_swaps: usize,
+    last_regens: usize,
     epoch_swaps: usize,
     last_epoch_churn: usize,
     steps: u64,
@@ -62,7 +73,9 @@ impl DropBack {
             zero_untracked: false,
             mask: Vec::new(),
             scores: Vec::new(),
+            swept: false,
             last_swaps: 0,
+            last_regens: 0,
             epoch_swaps: 0,
             last_epoch_churn: 0,
             steps: 0,
@@ -101,13 +114,23 @@ impl DropBack {
         self.last_swaps
     }
 
+    /// Number of weights the latest step regenerated (or zeroed): every
+    /// untracked weight on the first step after construction or restore,
+    /// then exactly the evictions `|old ∧ ¬new|`, and 0 once frozen. The
+    /// step's `regen` span carries the same number as its `regens` arg.
+    pub fn last_regens(&self) -> usize {
+        self.last_regens
+    }
+
     /// Total swaps over the most recently finished epoch (updated by
     /// [`Optimizer::end_epoch`]) — the per-epoch churn telemetry reports.
     pub fn epoch_churn(&self) -> usize {
         self.last_epoch_churn
     }
 
-    /// The current tracked mask (empty before the first step).
+    /// The current tracked mask (empty before the first step). With the
+    /// parameters it is the stored model, e.g.
+    /// `Checkpoint::from_mask(&net, opt.mask())`.
     pub fn mask(&self) -> &[bool] {
         &self.mask
     }
@@ -141,6 +164,7 @@ impl DropBack {
         if self.mask.len() != n {
             self.mask = vec![false; n];
             self.scores = vec![0.0; n];
+            self.swept = false;
         }
     }
 }
@@ -151,8 +175,17 @@ impl Optimizer for DropBack {
         self.ensure_state(n);
         let seed = ps.seed();
         let ranges: Vec<_> = ps.ranges().to_vec();
-        let new_mask = if self.frozen {
-            std::mem::take(&mut self.mask)
+        let zero_untracked = self.zero_untracked;
+        let origin = |scheme: InitScheme, i: usize| {
+            if zero_untracked {
+                0.0
+            } else {
+                scheme.value(seed, i as u64)
+            }
+        };
+        // The mask this step replaces; `None` when frozen (nothing moves).
+        let old_mask = if self.frozen {
+            None
         } else {
             let _rank_span = Span::enter("topk-rank");
             // Score: tracked -> |w - w0| (recomputed, Algorithm 1's T);
@@ -160,7 +193,6 @@ impl Optimizer for DropBack {
             // Each score depends only on its own index, so the sweep is
             // chunked over the pool per range.
             let mask = &self.mask;
-            let zero_untracked = self.zero_untracked;
             let (params, grads) = (ps.params(), ps.grads());
             for r in &ranges {
                 let scheme = r.scheme();
@@ -170,71 +202,71 @@ impl Optimizer for DropBack {
                     for (j, s) in chunk.iter_mut().enumerate() {
                         let i = base + j;
                         *s = if mask[i] {
-                            let origin = if zero_untracked {
-                                0.0
-                            } else {
-                                scheme.value(seed, i as u64)
-                            };
-                            (params[i] - origin).abs()
+                            (params[i] - origin(scheme, i)).abs()
                         } else {
                             (lr * grads[i]).abs()
                         };
                     }
                 });
             }
-            top_k_mask_sharded(&self.scores, self.k)
+            let new_mask = top_k_mask_sharded(&self.scores, self.k);
+            Some(std::mem::replace(&mut self.mask, new_mask))
         };
-        self.last_swaps = if self.frozen {
-            0
-        } else if self.steps == 0 {
-            new_mask.iter().filter(|&&m| m).count()
+        let mask = &self.mask;
+        let mut entered = 0;
+        let mut evicted = Vec::new();
+        if let Some(old) = &old_mask {
+            for (i, (&new, &old)) in mask.iter().zip(old).enumerate() {
+                entered += usize::from(new && !old);
+                if old && !new {
+                    evicted.push(i);
+                }
+            }
+        }
+        self.last_swaps = entered;
+        self.epoch_swaps += entered;
+        // Untracked weights already sit at their origin, so only evictions
+        // need regenerating — except on the first step, which sweeps all.
+        let full_sweep = !self.swept;
+        self.last_regens = if full_sweep {
+            mask.iter().filter(|&&m| !m).count()
         } else {
-            new_mask
-                .iter()
-                .zip(&self.mask)
-                .filter(|&(&new, &old)| new && !old)
-                .count()
+            evicted.len()
         };
-        self.epoch_swaps += self.last_swaps;
-        // Update tracked, regenerate untracked. Regeneration is idempotent
-        // for weights that were already untracked, so no old-mask check is
-        // needed to preserve the invariant untracked ⇒ w == init.
         {
             let (params, grads) = ps.update_view();
             pool::for_each_chunk_mut(params, CHUNK, |ci, chunk| {
                 let base = ci * CHUNK;
                 for (j, p) in chunk.iter_mut().enumerate() {
-                    if new_mask[base + j] {
+                    if mask[base + j] {
                         *p -= lr * grads[base + j];
                     }
                 }
             });
         }
-        {
-            // Regeneration is O(1) per index (`scheme.value(seed, i)`), so
-            // untracked shards regenerate embarrassingly parallel.
-            let _regen_span = Span::enter("regen");
-            let zero_untracked = self.zero_untracked;
+        let _regen_span = Span::enter_with("regen", &[("regens", self.last_regens as f64)]);
+        let params = ps.params_mut();
+        if full_sweep {
             for r in &ranges {
                 let scheme = r.scheme();
                 let start = r.start();
-                let params = ps.params_mut();
                 pool::for_each_chunk_mut(&mut params[start..r.end()], CHUNK, |ci, chunk| {
                     let base = start + ci * CHUNK;
                     for (j, p) in chunk.iter_mut().enumerate() {
-                        let i = base + j;
-                        if !new_mask[i] {
-                            *p = if zero_untracked {
-                                0.0
-                            } else {
-                                scheme.value(seed, i as u64)
-                            };
+                        if !mask[base + j] {
+                            *p = origin(scheme, base + j);
                         }
                     }
                 });
             }
+        } else {
+            // Evictions are few: look up each one's range directly.
+            for &i in &evicted {
+                let r = &ranges[ranges.partition_point(|r| r.end() <= i)];
+                params[i] = origin(r.scheme(), i);
+            }
         }
-        self.mask = new_mask;
+        self.swept = true;
         self.steps += 1;
     }
 
@@ -258,6 +290,10 @@ impl Optimizer for DropBack {
 
     fn stored_weights(&self, ps: &ParamStore) -> usize {
         self.k.min(ps.len())
+    }
+
+    fn tracked_mask(&self) -> Option<&[bool]> {
+        Some(&self.mask)
     }
 
     fn metrics(&self) -> Vec<(&'static str, f64)> {
@@ -309,6 +345,8 @@ impl Optimizer for DropBack {
         // Keep the scratch buffer in lockstep with the mask so
         // `ensure_state` does not wipe the restored mask on the next step.
         self.scores = vec![0.0; self.mask.len()];
+        // The store being resumed is not known to sit on the invariant.
+        self.swept = false;
         Ok(())
     }
 }
@@ -413,6 +451,28 @@ mod tests {
         db.step(&mut ps, 0.1);
         assert_eq!(db.last_swaps(), 1); // index 3 replaced index 0
         assert!(db.mask()[3]);
+    }
+
+    #[test]
+    fn first_step_after_restore_sweeps_a_stale_store() {
+        let mut ps = store_with_grads(8, &[5.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.0, 0.0]);
+        let mut db = DropBack::new(2);
+        db.step(&mut ps, 0.1);
+        let snap = db.snapshot_state();
+        // A store that does not sit on the invariant: every weight moved.
+        for p in ps.params_mut() {
+            *p += 1.0;
+        }
+        let mut resumed = DropBack::new(2);
+        resumed.restore_state(&snap).unwrap();
+        regrad(&mut ps, &[0.0; 8]);
+        resumed.step(&mut ps, 0.1);
+        assert_eq!(resumed.last_regens(), 6);
+        for i in 0..8 {
+            if !resumed.mask()[i] {
+                assert_eq!(ps.params()[i], ps.init_value(i), "untracked {i}");
+            }
+        }
     }
 
     #[test]

@@ -8,10 +8,6 @@
 //!   weights with the highest *accumulated* gradients are stored and
 //!   updated; every other weight is regenerated to its initialization value
 //!   on access. After a freeze epoch the tracked set is fixed.
-//! * [`SparseDropBack`] — the same rule with the tracked weights held in an
-//!   actual sparse map, demonstrating the paper's claim that `k` entries of
-//!   storage suffice during training (tested bit-equal to the dense
-//!   implementation).
 //! * [`MagnitudePruning`] — keep-highest-|w| pruning applied every
 //!   iteration (the paper's "straightforward magnitude-based pruning").
 //! * [`NetworkSlimming`] — L1 on batch-norm scales, channel thresholding,
@@ -32,7 +28,6 @@ mod quant;
 mod schedule;
 mod sgd;
 mod slim;
-mod sparse;
 mod state;
 mod topk;
 mod vd;
@@ -45,10 +40,13 @@ pub use quant::{Quantized, Quantizer};
 pub use schedule::LrSchedule;
 pub use sgd::Sgd;
 pub use slim::NetworkSlimming;
-pub use sparse::SparseDropBack;
 pub use state::{OptState, StateError, StateField};
 pub use topk::{top_k_mask, top_k_mask_sharded};
 pub use vd::KlAnneal;
+
+/// Retired name for [`DropBack`], kept only because the benchmark package
+/// (`benchmark/src/train.rs`) still names it; no workspace code uses it.
+pub type SparseDropBack = DropBack;
 
 use dropback_nn::ParamStore;
 
@@ -68,6 +66,14 @@ pub trait Optimizer {
     /// (`None` = all of them).
     fn stored_weights(&self, ps: &ParamStore) -> usize {
         ps.len()
+    }
+
+    /// The rule's tracked mask, one flag per parameter, when it keeps one
+    /// (`None` = every weight is stored). Wrappers that rewrite weights
+    /// after a step, like [`Quantized`], touch only tracked entries, so
+    /// they never move an untracked weight off its init.
+    fn tracked_mask(&self) -> Option<&[bool]> {
+        None
     }
 
     /// Per-epoch scalar metrics for telemetry, as `(name, value)` pairs.

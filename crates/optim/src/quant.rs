@@ -55,10 +55,19 @@ impl Quantizer {
     /// Fake-quantizes a whole slice in place, using its max-|v| as scale.
     /// Returns the scale used.
     pub fn quantize_slice(&self, values: &mut [f32]) -> f32 {
+        self.quantize_masked(values, None)
+    }
+
+    /// Like [`Quantizer::quantize_slice`], but with `Some(mask)` only the
+    /// entries whose flag is set are rewritten. The scale is still the
+    /// max-|v| over the whole slice. Returns the scale used.
+    pub fn quantize_masked(&self, values: &mut [f32], mask: Option<&[bool]>) -> f32 {
         let scale = values.iter().fold(0.0f32, |m, v| m.max(v.abs()));
         if scale > 0.0 {
-            for v in values.iter_mut() {
-                *v = self.quantize(*v, scale);
+            for (i, v) in values.iter_mut().enumerate() {
+                if mask.is_none_or(|m| m[i]) {
+                    *v = self.quantize(*v, scale);
+                }
             }
         }
         scale
@@ -70,7 +79,10 @@ impl Quantizer {
 /// The inner rule runs unchanged (full-precision gradients), then every
 /// stored weight is snapped to the quantization grid — the "quantize while
 /// training" regime of Gupta et al. 2015 / Courbariaux et al. 2014 the
-/// paper cites as combinable with DropBack.
+/// paper cites as combinable with DropBack. For a rule with a
+/// [`Optimizer::tracked_mask`] only the tracked weights are stored, so only
+/// they are quantized: untracked weights stay bit-equal to their init,
+/// which DropBack relies on to regenerate nothing but evictions.
 #[derive(Debug, Clone)]
 pub struct Quantized<O> {
     inner: O,
@@ -107,11 +119,13 @@ impl<O: Optimizer> Quantized<O> {
 impl<O: Optimizer> Optimizer for Quantized<O> {
     fn step(&mut self, ps: &mut ParamStore, lr: f32) {
         self.inner.step(ps, lr);
+        let mask = self.inner.tracked_mask();
         // Quantize per registered range so each layer gets its own scale.
         let ranges: Vec<_> = ps.ranges().to_vec();
         for r in &ranges {
             let slice = &mut ps.params_mut()[r.start()..r.end()];
-            self.quantizer.quantize_slice(slice);
+            self.quantizer
+                .quantize_masked(slice, mask.map(|m| &m[r.start()..r.end()]));
         }
     }
 
@@ -125,6 +139,10 @@ impl<O: Optimizer> Optimizer for Quantized<O> {
 
     fn stored_weights(&self, ps: &ParamStore) -> usize {
         self.inner.stored_weights(ps)
+    }
+
+    fn tracked_mask(&self) -> Option<&[bool]> {
+        self.inner.tracked_mask()
     }
 }
 
@@ -188,5 +206,32 @@ mod tests {
         ps.register("w", 100, InitScheme::lecun_normal(10));
         let opt = Quantized::new(crate::DropBack::new(10), 8);
         assert_eq!(opt.stored_weights(&ps), 10);
+    }
+
+    #[test]
+    fn quantized_dropback_leaves_untracked_at_init_and_tracked_on_grid() {
+        let mut ps = ParamStore::new(4);
+        let r = ps.register("w", 64, InitScheme::lecun_normal(8));
+        let mut opt = Quantized::new(crate::DropBack::new(12), 3);
+        let q = opt.quantizer();
+        let mut rng = dropback_prng::Xorshift64::new(2);
+        for step in 0..20 {
+            ps.zero_grads();
+            let grads: Vec<f32> = (0..64).map(|_| rng.next_f32() * 2.0 - 1.0).collect();
+            ps.accumulate_grad(&r, &grads);
+            // The unquantized step, to recover the scale the wrapper used.
+            let mut raw = ps.clone();
+            opt.inner().clone().step(&mut raw, 0.5);
+            let scale = raw.params().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+            opt.step(&mut ps, 0.5);
+            let mask = opt.tracked_mask().expect("DropBack keeps a mask");
+            for (i, &w) in ps.params().iter().enumerate() {
+                if mask[i] {
+                    assert_eq!(q.quantize(w, scale), w, "step {step}: tracked {i} off grid");
+                } else {
+                    assert_eq!(w.to_bits(), ps.init_value(i).to_bits(), "step {step}: {i}");
+                }
+            }
+        }
     }
 }

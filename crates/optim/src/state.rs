@@ -25,8 +25,10 @@ pub enum StateField {
     U64(u64),
     /// A dense per-weight vector (momentum velocity, Adam moments, ...).
     F32s(Vec<f32>),
-    /// A sparse index → value map in ascending index order (the tracked
-    /// set of [`crate::SparseDropBack`]).
+    /// A sparse index → value map in ascending index order. No rule in
+    /// this crate emits one any more; the shape stays so snapshots written
+    /// by the retired `dropback-sparse` rule still decode (and are then
+    /// refused by name).
     Pairs(Vec<(u64, f32)>),
     /// A dense boolean mask (the tracked mask of [`crate::DropBack`]).
     Bools(Vec<bool>),
@@ -179,18 +181,6 @@ impl OptState {
         }
     }
 
-    /// Reads a sparse index/value field.
-    pub fn pairs(&self, name: &'static str) -> Result<&[(u64, f32)], StateError> {
-        match self.lookup(name)? {
-            StateField::Pairs(v) => Ok(v),
-            other => Err(StateError::WrongType {
-                field: name,
-                expected: "pairs",
-                found: other.kind(),
-            }),
-        }
-    }
-
     /// Reads a boolean mask field.
     pub fn bools(&self, name: &'static str) -> Result<&[bool], StateError> {
         match self.lookup(name)? {
@@ -229,18 +219,6 @@ impl OptState {
             })
         }
     }
-
-    /// The largest index referenced by any sparse field, for bounds
-    /// validation against a parameter store before the indices are used.
-    pub fn max_pair_index(&self) -> Option<u64> {
-        self.fields
-            .iter()
-            .filter_map(|(_, f)| match f {
-                StateField::Pairs(v) => v.iter().map(|&(i, _)| i).max(),
-                _ => None,
-            })
-            .max()
-    }
 }
 
 /// Encodes an optional epoch (e.g. `freeze_after`) as a u64 scalar;
@@ -265,9 +243,7 @@ mod tests {
             .with("d", StateField::Bools(vec![true, false]));
         assert_eq!(s.u64("a").unwrap(), 7);
         assert_eq!(s.f32s("b").unwrap(), &[1.5, -2.0]);
-        assert_eq!(s.pairs("c").unwrap(), &[(3, 0.5)]);
         assert_eq!(s.bools("d").unwrap(), &[true, false]);
-        assert_eq!(s.max_pair_index(), Some(3));
     }
 
     #[test]

@@ -148,11 +148,11 @@ impl ModelSlot {
 mod tests {
     use super::*;
     use dropback::{TrainProgress, TrainState};
-    use dropback_optim::{Optimizer, SparseDropBack};
+    use dropback_optim::{DropBack, Optimizer};
 
     pub(crate) fn state_at(epoch: usize, seed: u64) -> TrainState {
         let mut net = models::mnist_100_100(seed);
-        let mut opt = SparseDropBack::new(400);
+        let mut opt = DropBack::new(400);
         opt.step(net.store_mut(), 0.0);
         for i in 0..32 {
             net.store_mut().params_mut()[i * 97] = epoch as f32 * 0.25 + i as f32 * 0.01;

@@ -790,7 +790,7 @@ mod tests {
     use crate::client::HttpClient;
     use dropback::{TrainProgress, TrainState};
     use dropback_nn::models;
-    use dropback_optim::{Optimizer, SparseDropBack};
+    use dropback_optim::{DropBack, Optimizer};
     use std::fs;
     use std::path::PathBuf;
 
@@ -804,7 +804,7 @@ mod tests {
     fn seeded_store(dir: &PathBuf) -> CheckpointStore {
         let mut store = CheckpointStore::open(dir).unwrap();
         let mut net = models::mnist_100_100(3);
-        let mut opt = SparseDropBack::new(300);
+        let mut opt = DropBack::new(300);
         opt.step(net.store_mut(), 0.0);
         let state = TrainState::capture(
             &net,
@@ -817,6 +817,38 @@ mod tests {
         );
         store.save(&state, &mut Telemetry::disabled()).unwrap();
         store
+    }
+
+    #[test]
+    fn retired_sparse_rule_snapshots_still_boot() {
+        // Serving reads only a snapshot's entries, never its optimizer
+        // state, so snapshots from the retired `dropback-sparse` rule boot.
+        let dir = tmp_dir("sparse-era");
+        let mut store = CheckpointStore::open(&dir).unwrap();
+        let mut net = models::mnist_100_100(3);
+        let mut opt = DropBack::new(300);
+        opt.step(net.store_mut(), 0.0);
+        net.store_mut().params_mut()[5] = 0.75;
+        let mut state = TrainState::capture(&net, &opt, 1, &TrainProgress::fresh());
+        let expected = ServingModel::from_state(&state, "/direct").unwrap();
+        state.optimizer = "dropback-sparse".into();
+        state.opt_state = dropback_optim::OptState::new("dropback-sparse").with(
+            "tracked",
+            dropback_optim::StateField::Pairs(vec![(5, 0.75)]),
+        );
+        store.save(&state, &mut Telemetry::disabled()).unwrap();
+        let server = Server::start(ServerConfig::default(), store).unwrap();
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        let input = vec![0.25f32; 784];
+        let reply = client.infer(&input).unwrap();
+        let (direct, _) = expected
+            .infer(&dropback_tensor::Tensor::from_vec(vec![1, 784], input))
+            .unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&reply.logits), bits(direct.data()));
+        assert_eq!(client.post("/shutdown", "").unwrap().status, 200);
+        let _ = server.wait();
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -161,14 +161,14 @@ mod tests {
     use super::*;
     use dropback::{FaultInjector, FaultMode, TrainProgress, TrainState};
     use dropback_nn::models;
-    use dropback_optim::{Optimizer, SparseDropBack};
+    use dropback_optim::{DropBack, Optimizer};
     use std::fs;
     use std::io::Write as _;
     use std::path::Path;
 
     fn state_at(epoch: usize) -> TrainState {
         let mut net = models::mnist_100_100(33);
-        let mut opt = SparseDropBack::new(200);
+        let mut opt = DropBack::new(200);
         opt.step(net.store_mut(), 0.0);
         for i in 0..16 {
             net.store_mut().params_mut()[i * 211] = epoch as f32 + 0.5;

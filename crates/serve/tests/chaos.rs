@@ -20,7 +20,7 @@
 use dropback::telemetry::{Json, Telemetry};
 use dropback::{CheckpointStore, FaultAction, FaultPlan, TrainProgress, TrainState};
 use dropback_nn::models;
-use dropback_optim::{Optimizer, SparseDropBack};
+use dropback_optim::{DropBack, Optimizer};
 use dropback_serve::{Backoff, BatchConfig, ChaosHook, HttpClient, Server, ServerConfig};
 use dropback_tensor::Tensor;
 use std::collections::BTreeMap;
@@ -33,7 +33,7 @@ use std::time::Duration;
 /// A deterministic snapshot; logits depend on the seed.
 fn state_at(epoch: usize, seed: u64) -> TrainState {
     let mut net = models::mnist_100_100(seed);
-    let mut opt = SparseDropBack::new(500);
+    let mut opt = DropBack::new(500);
     opt.step(net.store_mut(), 0.0);
     let progress = TrainProgress {
         next_epoch: epoch,

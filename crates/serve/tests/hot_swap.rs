@@ -10,7 +10,7 @@
 use dropback::telemetry::{Json, Telemetry};
 use dropback::{CheckpointStore, FaultInjector, FaultMode, TrainProgress, TrainState};
 use dropback_nn::models;
-use dropback_optim::{Optimizer, SparseDropBack};
+use dropback_optim::{DropBack, Optimizer};
 use dropback_serve::{BatchConfig, HttpClient, InferReply, Server, ServerConfig};
 use dropback_tensor::Tensor;
 use std::collections::BTreeMap;
@@ -22,7 +22,7 @@ use std::time::Duration;
 /// generations produce different logits.
 fn state_at(epoch: usize, seed: u64) -> TrainState {
     let mut net = models::mnist_100_100(seed);
-    let mut opt = SparseDropBack::new(500);
+    let mut opt = DropBack::new(500);
     opt.step(net.store_mut(), 0.0);
     for i in 0..64 {
         net.store_mut().params_mut()[i * 139] = epoch as f32 * 0.5 + i as f32 * 0.02 - 0.3;

@@ -276,14 +276,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is safe).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest
-                    .chars()
-                    .next()
-                    .ok_or_else(|| format!("unterminated string at byte {}", *pos))?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash. Both
+                // are ASCII, so the run ends on a char boundary of the
+                // (valid UTF-8) input, and each byte is decoded once.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                out.push_str(std::str::from_utf8(&bytes[*pos..end]).map_err(|e| e.to_string())?);
+                *pos = end;
             }
         }
     }
@@ -391,6 +392,19 @@ mod tests {
         ]);
         let parsed = Json::parse(&j.render()).unwrap();
         assert_eq!(parsed, j);
+    }
+
+    #[test]
+    fn multi_megabyte_strings_round_trip() {
+        // Multi-byte scalars, escapes and \u sequences spread through a
+        // ~4.7 MB string, plus a quote right at the end.
+        let unit = "ascii λ→ß 😀 \"q\" back\\slash\n\t\u{1}";
+        let big: String = unit.repeat(1 << 17) + "\"";
+        let j = Json::Arr(vec![
+            Json::Str(big.clone()),
+            Json::Obj(vec![(big, Json::Null)]),
+        ]);
+        assert_eq!(Json::parse(&j.render()).unwrap(), j);
     }
 
     #[test]

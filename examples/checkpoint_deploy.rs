@@ -1,5 +1,5 @@
-//! The deployment story end to end: train on a weight budget with the
-//! sparse store, ship `(seed, k entries)` as a checkpoint file, and rebuild
+//! The deployment story end to end: train on a weight budget with
+//! DropBack, ship `(seed, k entries)` as a checkpoint file, and rebuild
 //! a bit-identical model from architecture + checkpoint alone.
 //!
 //! ```text
@@ -14,7 +14,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // "Device A": train MNIST-100-100 storing only 8,000 weights.
     let mut net = models::mnist_100_100(77);
-    let mut opt = SparseDropBack::new(8_000).freeze_after(3);
+    let mut opt = DropBack::new(8_000).freeze_after(3);
     let batcher = Batcher::new(64, 9);
     for epoch in 0..6u64 {
         for (x, labels) in batcher.epoch(&train, epoch) {
@@ -26,11 +26,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let acc = net.accuracy(&test, 256);
     println!(
         "trained: val acc {acc:.4} with {} stored weights",
-        opt.storage_entries()
+        opt.tracked_count()
     );
 
     // Cut the checkpoint: seed + tracked entries, nothing else.
-    let ckpt = Checkpoint::from_sparse(&net, &opt);
+    let ckpt = Checkpoint::from_mask(&net, opt.mask())?;
     let path = std::env::temp_dir().join("dropback_deploy.dbk");
     ckpt.write_to(std::fs::File::create(&path)?)?;
     let dense_bytes = net.num_params() * 4;

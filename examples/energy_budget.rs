@@ -1,5 +1,5 @@
 //! Size an edge-accelerator weight budget with the energy model, and
-//! demonstrate the sparse weight store that makes the budget real.
+//! demonstrate the k-weight store that makes the budget real.
 //!
 //! ```text
 //! cargo run --release --example energy_budget
@@ -32,12 +32,12 @@ fn main() {
         );
     }
 
-    // The sparse store: train with the tracked weights held in an actual
-    // k-entry map, proving the k-weight memory claim end to end.
-    println!("\ntraining MNIST-100-100 with a 5,000-entry sparse weight store...");
+    // The k-weight store: only the tracked weights ever leave their init,
+    // proving the k-weight memory claim end to end.
+    println!("\ntraining MNIST-100-100 with a 5,000-weight budget...");
     let (train, test) = synthetic_mnist(2000, 400, 33);
     let mut net = models::mnist_100_100(33);
-    let mut opt = SparseDropBack::new(5_000).freeze_after(2);
+    let mut opt = DropBack::new(5_000).freeze_after(2);
     let batcher = Batcher::new(64, 3);
     for epoch in 0..4u64 {
         for (x, labels) in batcher.epoch(&train, epoch) {
@@ -46,14 +46,14 @@ fn main() {
         }
         opt.end_epoch(epoch as usize, net.store_mut());
         println!(
-            "  epoch {epoch}: val acc {:.3}, sparse entries {} (≤ 5000)",
+            "  epoch {epoch}: val acc {:.3}, tracked weights {} (≤ 5000)",
             net.accuracy(&test, 256),
-            opt.storage_entries()
+            opt.tracked_count()
         );
     }
     println!(
         "\nevery weight outside those {} entries is regenerated from seed+index on\n\
          access — nothing else is stored, during or after training.",
-        opt.storage_entries()
+        opt.tracked_count()
     );
 }

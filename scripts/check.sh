@@ -77,6 +77,18 @@ for threads in 1 4; do
         cargo test -q -p dropback-repro --test gemm_conformance
 done
 
+echo "== dropback-reference (production rule vs literal Algorithm 1, SIMD on/off)"
+# The differential harness steps DropBack and the serial reference side by
+# side and compares weights and masks bit-for-bit after every step; it
+# toggles pool threads {1, 4} in-process. Rerunning it under DROPBACK_SIMD=0
+# and the default kernel, at ambient pool sizes 1 and 4, pins both axes.
+for threads in 1 4; do
+    DROPBACK_THREADS=$threads \
+        cargo test -q -p dropback-repro --test dropback_reference
+    DROPBACK_SIMD=0 DROPBACK_THREADS=$threads \
+        cargo test -q -p dropback-repro --test dropback_reference
+done
+
 echo "== trace smoke (Chrome trace export parses, spans pair up)"
 # A short traced training run, then the analyzer re-parses the file and
 # fails on JSON errors or unpaired begin/end events.
