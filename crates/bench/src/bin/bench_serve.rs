@@ -7,11 +7,11 @@
 //! previous reply lands. Latency quantiles are computed client-side from
 //! the exact sorted per-request samples (not the server's log2-bucketed
 //! histograms), so p50/p99 here are sharp; the server's own digest rides
-//! along for batch-fill and regen counts.
+//! along for batch fill and the resident-model gauges.
 //!
 //! What to look for: batch fill should rise with concurrency (that is
-//! micro-batching working — more rows share one regen sweep of the
-//! untracked weights), so throughput should scale better than 1/latency.
+//! micro-batching working — more rows share each layer's GEMM), so
+//! throughput should scale better than 1/latency.
 //!
 //! ```text
 //! cargo run --release -p dropback-bench --bin bench_serve
@@ -88,6 +88,14 @@ impl LevelResult {
             .map_or(0, |(_, v)| *v)
     }
 
+    fn digest_gauge(&self, name: &str) -> f64 {
+        self.digest
+            .gauges
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0.0, |(_, v)| *v)
+    }
+
     fn batch_fill_mean(&self) -> f64 {
         self.digest
             .histograms
@@ -110,7 +118,7 @@ fn run_level(dir: &PathBuf, clients: usize, reqs: usize) -> LevelResult {
     let server = Server::start(cfg, store).unwrap();
     let addr = server.addr();
 
-    // Warm the connection path and the first regen sweep untimed.
+    // Warm the connection path and the first forward untimed.
     let input = probe_input();
     let mut warm = HttpClient::connect(addr).unwrap();
     warm.infer(&input).unwrap();
@@ -389,8 +397,8 @@ fn main() {
         peak,
         peak / base.max(1e-9)
     );
-    println!("batch fill rising with clients = micro-batching amortizing the");
-    println!("regen sweep across rows (see docs/SERVING.md)");
+    println!("batch fill rising with clients = micro-batching amortizing each");
+    println!("weight panel's GEMM pack across rows (see docs/SERVING.md)");
 
     let level_json = |l: &LevelResult| {
         Json::Obj(vec![
@@ -406,12 +414,12 @@ fn main() {
                 Json::from(l.digest_counter("serve.batches")),
             ),
             (
-                "regens".into(),
-                Json::from(l.digest_counter("serve.regens")),
+                "resident_bytes".into(),
+                Json::from(l.digest_gauge("serve.model.resident_bytes")),
             ),
             (
-                "stored_reads".into(),
-                Json::from(l.digest_counter("serve.stored_reads")),
+                "stored".into(),
+                Json::from(l.digest_gauge("serve.model.stored")),
             ),
         ])
     };

@@ -124,6 +124,17 @@ pub struct Checkpoint {
     entries: Vec<(u64, f32)>,
 }
 
+impl From<&crate::TrainState> for Checkpoint {
+    /// The deployable half of a snapshot: its init seed and the entries
+    /// that differ from init.
+    fn from(state: &crate::TrainState) -> Self {
+        Self {
+            seed: state.init_seed,
+            entries: state.entries.clone(),
+        }
+    }
+}
+
 impl Checkpoint {
     /// Captures a checkpoint from a dense store plus a tracked mask
     /// (e.g. [`dropback_optim::DropBack::mask`]).
@@ -188,14 +199,26 @@ impl Checkpoint {
                 found: self.seed,
             });
         }
+        Self::overlay(net, &self.entries)
+    }
+
+    /// Writes stored `(index, value)` entries over `net`'s parameters —
+    /// the overlay [`Checkpoint::apply`] runs, also usable straight off a
+    /// snapshot's entry list without copying it into a checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CheckpointError::IndexOutOfRange`] if an entry indexes
+    /// past the network; every index is validated before the first write,
+    /// so a bad entry list cannot leave the network half-applied.
+    pub fn overlay(net: &mut Network, entries: &[(u64, f32)]) -> Result<(), CheckpointError> {
         let n = net.num_params();
-        // Validate every index before the first write so a bad checkpoint
-        // cannot leave the network half-applied.
-        if let Some(&(bad, _)) = self.entries.iter().find(|&&(i, _)| i as usize >= n) {
+        if let Some(&(bad, _)) = entries.iter().find(|&&(i, _)| i as usize >= n) {
             return Err(CheckpointError::IndexOutOfRange { index: bad, len: n });
         }
-        for &(i, w) in &self.entries {
-            net.store_mut().params_mut()[i as usize] = w;
+        let params = net.store_mut().params_mut();
+        for &(i, w) in entries {
+            params[i as usize] = w;
         }
         Ok(())
     }

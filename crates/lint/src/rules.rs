@@ -104,7 +104,6 @@ const DETERMINISM_PATHS: &[&str] = &[
     "crates/core/src/crc.rs",
     "crates/core/src/chaos.rs",
     "crates/core/src/report.rs",
-    "crates/core/src/sparse_infer.rs",
     "crates/core/src/train_state.rs",
     "crates/telemetry/src/json.rs",
     "crates/telemetry/src/snapshot.rs",
@@ -282,7 +281,7 @@ fn float_eq(ctx: &FileCtx, out: &mut Vec<Finding>) {
 const UNSAFE_PATHS: &[&str] = &["crates/tensor/src/pool.rs", "crates/tensor/src/simd.rs"];
 
 /// Library paths that make up the request/decode/replay flow: serve's
-/// HTTP surface, checkpoint decode, and streaming inference. A panic
+/// HTTP surface (serving inference included) and checkpoint decode. A panic
 /// here takes down a server or a resumable run on attacker-shaped or
 /// disk-corrupted input, so these files return typed errors — no
 /// unwrap/expect and no panicking macros, `unreachable!` included.
@@ -292,7 +291,6 @@ const PANIC_PATHS: &[&str] = &[
     "crates/core/src/ckpt_store.rs",
     "crates/core/src/crc.rs",
     "crates/core/src/chaos.rs",
-    "crates/core/src/sparse_infer.rs",
     "crates/core/src/train_state.rs",
 ];
 

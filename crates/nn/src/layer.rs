@@ -19,7 +19,10 @@ pub enum Mode {
 /// caches needed between `forward` and `backward` (input activations,
 /// dropout masks, pooling argmaxes, ...). A `backward` call must follow the
 /// `forward` call whose gradient it propagates.
-pub trait Layer {
+///
+/// Layers are `Send`, so a built network can move to (or be shared under a
+/// lock with) another thread — the serving batch worker runs one.
+pub trait Layer: Send {
     /// Computes the layer output, caching whatever `backward` will need.
     fn forward(&mut self, x: &Tensor, ps: &ParamStore, mode: Mode) -> Tensor;
 

@@ -3,7 +3,7 @@
 use crate::layer::{Layer, Mode};
 use crate::param::{ParamRange, ParamStore};
 use dropback_prng::InitScheme;
-use dropback_tensor::{matmul, matmul_nt, matmul_tn, Tensor};
+use dropback_tensor::{matmul_nt_slice, matmul_slice, matmul_tn, Tensor};
 
 /// A fully-connected layer: `y = x · Wᵀ + b` with `W: [out, in]`.
 ///
@@ -58,21 +58,14 @@ impl Linear {
     pub fn out_dim(&self) -> usize {
         self.out_dim
     }
-
-    fn weight_tensor(&self, ps: &ParamStore) -> Tensor {
-        Tensor::from_vec(
-            vec![self.out_dim, self.in_dim],
-            ps.slice(&self.weight).to_vec(),
-        )
-    }
 }
 
 impl Layer for Linear {
     fn forward(&mut self, x: &Tensor, ps: &ParamStore, _mode: Mode) -> Tensor {
         assert_eq!(x.rank(), 2, "linear input must be [n, d]");
         assert_eq!(x.shape()[1], self.in_dim, "linear input dim");
-        let w = self.weight_tensor(ps);
-        let mut y = matmul_nt(x, &w);
+        // The `[out, in]` weight range feeds the GEMM in place.
+        let mut y = matmul_nt_slice(x, ps.slice(&self.weight), self.out_dim);
         if let Some(b) = &self.bias {
             let bias = ps.slice(b);
             for row in y.data_mut().chunks_exact_mut(self.out_dim) {
@@ -98,8 +91,7 @@ impl Layer for Linear {
             ps.accumulate_grad(b, db.data());
         }
         // dx = dout · W  ([n, in])
-        let w = self.weight_tensor(ps);
-        matmul(dout, &w)
+        matmul_slice(dout, ps.slice(&self.weight), self.in_dim)
     }
 
     fn param_ranges(&self) -> Vec<ParamRange> {

@@ -165,9 +165,21 @@ impl ParamStore {
         }
     }
 
-    /// Zeroes every gradient (call once per training step).
+    /// Zeroes every gradient (call once per training step), re-allocating
+    /// the buffer if [`ParamStore::release_grads`] dropped it.
     pub fn zero_grads(&mut self) {
-        self.grads.iter_mut().for_each(|g| *g = 0.0);
+        if self.grads.len() == self.params.len() {
+            self.grads.fill(0.0);
+        } else {
+            self.grads = vec![0.0; self.params.len()];
+        }
+    }
+
+    /// Frees the gradient buffer of a store that only runs forward passes
+    /// (a served model), halving its resident size. Gradient accessors see
+    /// an empty buffer until the next [`ParamStore::zero_grads`].
+    pub fn release_grads(&mut self) {
+        self.grads = Vec::new();
     }
 
     /// Regenerates the *initial* value of global parameter index `i` in O(1)
@@ -271,6 +283,18 @@ mod tests {
         ps.accumulate_grad(&r, &[1.0, 2.0, 3.0, 4.0]);
         ps.accumulate_grad(&r, &[1.0, 1.0, 1.0, 1.0]);
         assert_eq!(ps.grad_slice(&r), &[2.0, 3.0, 4.0, 5.0]);
+        ps.zero_grads();
+        assert_eq!(ps.grad_slice(&r), &[0.0; 4]);
+    }
+
+    #[test]
+    fn released_grads_come_back_on_zero() {
+        let mut ps = ParamStore::new(3);
+        let r = ps.register("w", 4, InitScheme::Constant(0.0));
+        ps.accumulate_grad(&r, &[1.0; 4]);
+        ps.release_grads();
+        assert!(ps.grads().is_empty());
+        assert_eq!(ps.params().len(), 4, "params are untouched");
         ps.zero_grads();
         assert_eq!(ps.grad_slice(&r), &[0.0; 4]);
     }

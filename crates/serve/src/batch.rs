@@ -3,11 +3,9 @@
 //! Handler threads park each request in a bounded queue; a single batch
 //! worker drains it into one batched [`crate::ServingModel::infer`] call
 //! the moment either the batch is full or the oldest queued request has
-//! waited out the flush deadline. Batching is where DropBack serving wins
-//! big: the streaming evaluator walks the weights **once per batch** —
-//! one regeneration sweep amortized over every request in it — so batch
-//! fill shows up directly as regen traffic saved (`serve.batch_fill` vs
-//! `serve.requests` in the telemetry digest).
+//! waited out the flush deadline. A batch is one packed GEMM per layer,
+//! so each weight panel is read once for every request in it
+//! (`serve.batch_fill` vs `serve.requests` in the telemetry digest).
 //!
 //! The model is resolved **at flush time**, not at submit time: a batch
 //! always evaluates against one single generation, so a hot-swap can
@@ -50,8 +48,8 @@ impl Default for BatchConfig {
 /// What a request gets back from a flushed batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InferReply {
-    /// Class logits, bit-identical to a direct streaming forward on the
-    /// serving snapshot.
+    /// Class logits, bit-identical to `Network::forward` in eval mode on
+    /// the serving snapshot applied to its zoo network.
     pub logits: Vec<f32>,
     /// Index of the largest logit (first wins ties).
     pub argmax: usize,
@@ -305,23 +303,14 @@ impl BatchQueue {
         trace::record_counter("serve.batch_fill", n as f64);
 
         match result {
-            Ok((y, stats)) => {
-                collector.counter("serve.regens").add(stats.regens);
-                collector
-                    .counter("serve.stored_reads")
-                    .add(stats.stored_reads);
-                // One instant per flushed batch: the fill/generation/regen
+            Ok(y) => {
+                // One instant per flushed batch: the fill/generation
                 // annotations the batch-fill digest in `dropback-trace`
                 // aggregates over time.
                 trace::async_instant(
                     "serve.batch",
                     batch_id,
-                    &[
-                        ("fill", n as f64),
-                        ("epoch", model.epoch() as f64),
-                        ("regens", stats.regens as f64),
-                        ("stored_reads", stats.stored_reads as f64),
-                    ],
+                    &[("fill", n as f64), ("epoch", model.epoch() as f64)],
                 );
                 for (r, (_, _, reply, queue_ns)) in rows.into_iter().enumerate() {
                     let logits = y.data()[r * out_dim..(r + 1) * out_dim].to_vec();

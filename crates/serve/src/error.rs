@@ -1,11 +1,11 @@
 //! One error type for the whole serving path.
 //!
 //! Every failure a request can hit — malformed HTTP, an unloadable
-//! snapshot, a model the streaming evaluator cannot serve, an overloaded
-//! queue — flows through [`ServeError`] so handlers can map it onto an
-//! HTTP status in exactly one place ([`ServeError::http_status`]).
+//! snapshot, a model outside the servable zoo, a mis-shaped input, an
+//! overloaded queue — flows through [`ServeError`] so handlers can map it
+//! onto an HTTP status in exactly one place ([`ServeError::http_status`]).
 
-use dropback::{CheckpointError, StreamError};
+use dropback::CheckpointError;
 use std::io;
 use std::path::PathBuf;
 
@@ -16,12 +16,17 @@ pub enum ServeError {
     Io(io::Error),
     /// The checkpoint store could not list or load snapshots.
     Checkpoint(CheckpointError),
-    /// The streaming evaluator rejected the model or the input.
-    Stream(StreamError),
     /// The snapshot directory holds no loadable snapshot.
     NoSnapshot(PathBuf),
-    /// The snapshot's architecture has no streaming-inference path.
+    /// The snapshot's architecture is not one the server can build.
     UnsupportedModel(String),
+    /// An inference input is not `[n, in_dim]` (HTTP 400).
+    InputShape {
+        /// Shape the caller passed.
+        got: Vec<usize>,
+        /// Feature width the model expects.
+        in_dim: usize,
+    },
     /// The client sent something the server cannot act on (HTTP 400).
     BadRequest(String),
     /// The request's header block exceeds the parser's bounds (HTTP 431).
@@ -46,7 +51,7 @@ impl ServeError {
     /// The HTTP status this error maps to when it reaches a handler.
     pub fn http_status(&self) -> u16 {
         match self {
-            ServeError::BadRequest(_) => 400,
+            ServeError::BadRequest(_) | ServeError::InputShape { .. } => 400,
             ServeError::BodyTooLarge { .. } => 413,
             ServeError::HeadersTooLarge(_) => 431,
             ServeError::Overloaded | ServeError::DeadlineExceeded | ServeError::ShuttingDown => 503,
@@ -66,9 +71,9 @@ impl ServeError {
         match self {
             ServeError::Io(_) => "io",
             ServeError::Checkpoint(_) => "checkpoint",
-            ServeError::Stream(_) => "stream",
             ServeError::NoSnapshot(_) => "no-snapshot",
             ServeError::UnsupportedModel(_) => "unsupported-model",
+            ServeError::InputShape { .. } => "input-shape",
             ServeError::BadRequest(_) => "bad-request",
             ServeError::HeadersTooLarge(_) => "headers-too-large",
             ServeError::BodyTooLarge { .. } => "body-too-large",
@@ -84,7 +89,6 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Io(e) => write!(f, "I/O error: {e}"),
             ServeError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),
-            ServeError::Stream(e) => write!(f, "streaming inference error: {e}"),
             ServeError::NoSnapshot(dir) => write!(
                 f,
                 "no loadable snapshot in {} — train with checkpointing enabled \
@@ -93,8 +97,12 @@ impl std::fmt::Display for ServeError {
             ),
             ServeError::UnsupportedModel(name) => write!(
                 f,
-                "model {name:?} has no streaming-inference path; serving supports \
-                 the MLP zoo entries (mnist-100-100, lenet-300-100)"
+                "model {name:?} cannot be served; serving supports the MLP zoo \
+                 entries (mnist-100-100, lenet-300-100)"
+            ),
+            ServeError::InputShape { got, in_dim } => write!(
+                f,
+                "inference input has shape {got:?}; the model expects [n, {in_dim}]"
             ),
             ServeError::BadRequest(msg) => write!(f, "bad request: {msg}"),
             ServeError::HeadersTooLarge(msg) => {
@@ -130,12 +138,6 @@ impl From<CheckpointError> for ServeError {
     }
 }
 
-impl From<StreamError> for ServeError {
-    fn from(e: StreamError) -> Self {
-        ServeError::Stream(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,6 +161,12 @@ mod tests {
             assert!(pressure.is_pressure(), "{pressure} invites a retry");
         }
         assert!(!ServeError::BadRequest("x".into()).is_pressure());
+        let shape = ServeError::InputShape {
+            got: vec![1, 3],
+            in_dim: 784,
+        };
+        assert_eq!(shape.http_status(), 400);
+        assert_eq!(shape.reason(), "input-shape");
         assert!(!ServeError::BodyTooLarge { got: 9, limit: 1 }.is_pressure());
         assert_eq!(ServeError::NoSnapshot("/tmp".into()).http_status(), 500);
         assert_eq!(

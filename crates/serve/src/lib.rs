@@ -8,9 +8,10 @@
 //!
 //! * loads snapshots through [`dropback::CheckpointStore`]
 //!   (newest-valid-first, reusing the corruption fallback),
-//! * reconstructs every untracked weight from `regen(seed, index)` via
-//!   the streaming [`dropback::StreamingModel`] evaluator — the dense
-//!   matrix is never materialized,
+//! * densifies each snapshot **once per generation**, off the request
+//!   path: every untracked weight is `regen(seed, index)` and the k
+//!   stored entries are written over them ([`model`]); requests then run
+//!   the same packed-GEMM `Network::forward` that training uses,
 //! * **hot-swaps** the live model atomically when a newer snapshot
 //!   appears: in-flight requests finish on the old model, new requests
 //!   see the new one ([`watcher`]),

@@ -295,9 +295,7 @@ impl Server {
             .dir()
             .join(format!("state-{:08}.dbk2", state.progress.next_epoch));
         let model = ServingModel::from_state(&state, source.clone())?;
-        collector
-            .gauge("serve.model_epoch")
-            .set(model.epoch() as f64);
+        model.publish(&collector);
         let slot = Arc::new(ModelSlot::new(model));
 
         let listener = TcpListener::bind(&cfg.addr)?;
@@ -788,8 +786,8 @@ fn infer(req: &Request, ctx: &Ctx, req_id: u64, traced: bool) -> Outcome {
 mod tests {
     use super::*;
     use crate::client::HttpClient;
-    use dropback::{TrainProgress, TrainState};
-    use dropback_nn::models;
+    use dropback::{Checkpoint, TrainProgress, TrainState};
+    use dropback_nn::{models, Mode};
     use dropback_optim::{DropBack, Optimizer};
     use std::fs;
     use std::path::PathBuf;
@@ -830,7 +828,10 @@ mod tests {
         opt.step(net.store_mut(), 0.0);
         net.store_mut().params_mut()[5] = 0.75;
         let mut state = TrainState::capture(&net, &opt, 1, &TrainProgress::fresh());
-        let expected = ServingModel::from_state(&state, "/direct").unwrap();
+        // Ground truth: the training forward on a zoo net with the
+        // snapshot's checkpoint applied.
+        let mut expected = models::mnist_100_100(3);
+        Checkpoint::from(&state).apply(&mut expected).unwrap();
         state.optimizer = "dropback-sparse".into();
         state.opt_state = dropback_optim::OptState::new("dropback-sparse").with(
             "tracked",
@@ -841,9 +842,10 @@ mod tests {
         let mut client = HttpClient::connect(server.addr()).unwrap();
         let input = vec![0.25f32; 784];
         let reply = client.infer(&input).unwrap();
-        let (direct, _) = expected
-            .infer(&dropback_tensor::Tensor::from_vec(vec![1, 784], input))
-            .unwrap();
+        let direct = expected.forward(
+            &dropback_tensor::Tensor::from_vec(vec![1, 784], input),
+            Mode::Eval,
+        );
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&reply.logits), bits(direct.data()));
         assert_eq!(client.post("/shutdown", "").unwrap().status, 200);

@@ -17,7 +17,8 @@
 //! `serve.watch_errors` (poll failures, split into
 //! `serve.watch_errors.io` — listing/socket-level — and
 //! `serve.watch_errors.decode` — a snapshot that would not parse).
-//! Gauge: `serve.model_epoch`.
+//! Gauges: `serve.model_epoch`, `serve.model.resident_bytes`,
+//! `serve.model.stored` (`ServingModel::publish`).
 //!
 //! A failing poll is **not** billed a bare poll interval: consecutive
 //! failures back off exponentially with seeded jitter
@@ -79,10 +80,9 @@ fn poll_once(
         .join(format!("state-{:08}.dbk2", state.progress.next_epoch));
     match ServingModel::from_state(&state, source) {
         Ok(model) => {
-            let epoch = model.epoch();
+            model.publish(collector);
             slot.swap(Arc::new(model));
             collector.counter("serve.swaps").inc();
-            collector.gauge("serve.model_epoch").set(epoch as f64);
         }
         Err(_) => {
             collector.counter("serve.swap_failed").inc();

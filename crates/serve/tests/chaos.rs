@@ -7,8 +7,8 @@
 //!   a fresh `/healthz` on a fresh connection answers 200,
 //! * overload is **shed, not queued to death** — refusals are `503` with
 //!   a `Retry-After` hint, counted under `serve.shed.*`,
-//! * whatever *does* get a 200 is **bit-identical** to streaming
-//!   inference run directly on the snapshot — faults may cost requests,
+//! * whatever *does* get a 200 is **bit-identical** to the training
+//!   forward on the snapshot's checkpoint — faults may cost requests,
 //!   never answers,
 //! * shutdown under load **drains**: in-flight requests finish, late
 //!   arrivals are shed, and the digest says which was which.
@@ -18,12 +18,11 @@
 //! [`dropback_serve::ChaosHook`].
 
 use dropback::telemetry::{Json, Telemetry};
-use dropback::{CheckpointStore, FaultAction, FaultPlan, TrainProgress, TrainState};
-use dropback_nn::models;
+use dropback::{Checkpoint, CheckpointStore, FaultAction, FaultPlan, TrainProgress, TrainState};
+use dropback_nn::{models, Mode};
 use dropback_optim::{DropBack, Optimizer};
 use dropback_serve::{Backoff, BatchConfig, ChaosHook, HttpClient, Server, ServerConfig};
 use dropback_tensor::Tensor;
-use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -42,17 +41,13 @@ fn state_at(epoch: usize, seed: u64) -> TrainState {
     TrainState::capture(&net, &opt, seed, &progress)
 }
 
-/// Ground truth: streaming inference straight off the snapshot.
+/// Ground truth: the training forward on a zoo network with the
+/// snapshot's checkpoint applied, no server involved.
 fn direct_logits(state: &TrainState, input: &[f32]) -> Vec<f32> {
-    let net = models::mnist_100_100(state.init_seed);
-    let tracked: BTreeMap<usize, f32> = state
-        .entries
-        .iter()
-        .map(|&(i, v)| (i as usize, v))
-        .collect();
+    let mut net = models::mnist_100_100(state.init_seed);
+    Checkpoint::from(state).apply(&mut net).unwrap();
     let x = Tensor::from_vec(vec![1, input.len()], input.to_vec());
-    let (y, _) = dropback::stream_mlp_forward(net.store(), &tracked, &x).unwrap();
-    y.data().to_vec()
+    net.forward(&x, Mode::Eval).data().to_vec()
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {

@@ -1,19 +1,18 @@
 //! End-to-end hot-swap correctness over real HTTP.
 //!
 //! The contract under test: a reply from the server is bit-identical to
-//! streaming inference (`dropback::stream_mlp_forward`) run directly on
-//! the snapshot's `(seed, entries)` — for the boot checkpoint, for a
+//! the training forward (`Network::forward`, eval mode) on a zoo network
+//! with the snapshot's checkpoint applied — for the boot checkpoint, for a
 //! newer checkpoint after a live hot swap, and *still* for the old
 //! checkpoint when the newest file on disk is torn (the corruption
 //! fallback must skip it, never serve it).
 
 use dropback::telemetry::{Json, Telemetry};
-use dropback::{CheckpointStore, FaultInjector, FaultMode, TrainProgress, TrainState};
-use dropback_nn::models;
+use dropback::{Checkpoint, CheckpointStore, FaultInjector, FaultMode, TrainProgress, TrainState};
+use dropback_nn::{models, Mode};
 use dropback_optim::{DropBack, Optimizer};
 use dropback_serve::{BatchConfig, HttpClient, InferReply, Server, ServerConfig};
 use dropback_tensor::Tensor;
-use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -34,18 +33,13 @@ fn state_at(epoch: usize, seed: u64) -> TrainState {
     TrainState::capture(&net, &opt, seed, &progress)
 }
 
-/// Ground truth: streaming inference straight off the snapshot, no
-/// server involved.
+/// Ground truth: the training forward on a zoo network with the
+/// snapshot's checkpoint applied, no server involved.
 fn direct_logits(state: &TrainState, input: &[f32]) -> Vec<f32> {
-    let net = models::mnist_100_100(state.init_seed);
-    let tracked: BTreeMap<usize, f32> = state
-        .entries
-        .iter()
-        .map(|&(i, v)| (i as usize, v))
-        .collect();
+    let mut net = models::mnist_100_100(state.init_seed);
+    Checkpoint::from(state).apply(&mut net).unwrap();
     let x = Tensor::from_vec(vec![1, input.len()], input.to_vec());
-    let (y, _) = dropback::stream_mlp_forward(net.store(), &tracked, &x).unwrap();
-    y.data().to_vec()
+    net.forward(&x, Mode::Eval).data().to_vec()
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -131,8 +125,8 @@ fn replies_stay_bit_identical_to_direct_inference_across_swaps_and_corruption() 
     let addr = server.addr();
     let input = probe_input(784);
 
-    // Phase 1: the boot checkpoint serves exactly what direct streaming
-    // inference computes from (seed, entries).
+    // Phase 1: the boot checkpoint serves exactly what the training
+    // forward computes from (seed, entries).
     let mut client = HttpClient::connect(addr).unwrap();
     let reply: InferReply = client.infer(&input).unwrap();
     assert_eq!(reply.epoch, 1);

@@ -17,12 +17,23 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 static HWM_BYTES: AtomicU64 = AtomicU64::new(0);
 
+#[cfg(test)]
+thread_local! {
+    /// Net tensor bytes this thread registered, so the unit tests below can
+    /// check exact accounting while other tests in the binary allocate.
+    static THREAD_NET: std::cell::Cell<i64> = const { std::cell::Cell::new(0) };
+}
+
 pub(crate) fn track_alloc(bytes: usize) {
+    #[cfg(test)]
+    THREAD_NET.with(|n| n.set(n.get() + bytes as i64));
     let live = LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
     HWM_BYTES.fetch_max(live, Ordering::Relaxed);
 }
 
 pub(crate) fn track_free(bytes: usize) {
+    #[cfg(test)]
+    THREAD_NET.with(|n| n.set(n.get() - bytes as i64));
     // Saturating rather than wrapping: a (would-be) accounting bug must
     // never poison the high-water mark with a near-u64::MAX "live" value.
     let _ = LIVE_BYTES.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
@@ -52,51 +63,54 @@ mod tests {
     use super::*;
     use crate::Tensor;
 
-    // Other tests in the crate allocate tensors concurrently (KBs), so
-    // these tests use multi-MB tensors and leave generous slack instead
-    // of asserting exact totals.
+    // Other tests in the crate allocate and free tensors concurrently, so
+    // the global counters only move monotonically in the ways checked
+    // here; exact balances are read from this thread's own tally.
 
-    /// 4 MiB of payload — two orders of magnitude above anything the rest
-    /// of the test binary allocates at once.
+    /// 4 MiB of payload.
     const BIG: usize = 1 << 20;
-    const BIG_BYTES: u64 = (BIG as u64) * 4;
-    const SLACK: u64 = BIG_BYTES / 4;
+    const BIG_BYTES: i64 = (BIG as i64) * 4;
+
+    fn thread_net() -> i64 {
+        THREAD_NET.with(|n| n.get())
+    }
 
     #[test]
     fn alloc_raises_live_and_hwm_and_drop_releases() {
-        let before = live_bytes();
+        let before = thread_net();
         let t = Tensor::zeros(vec![BIG]);
-        let with = live_bytes();
-        assert!(with >= before + BIG_BYTES, "alloc tracked");
-        assert!(hwm_bytes() >= with, "hwm covers the peak");
+        assert_eq!(thread_net(), before + BIG_BYTES, "alloc tracked");
+        assert!(live_bytes() >= BIG_BYTES as u64, "live covers the tensor");
+        assert!(hwm_bytes() >= BIG_BYTES as u64, "hwm covers the peak");
         drop(t);
-        assert!(
-            live_bytes() <= with - BIG_BYTES + SLACK,
-            "drop released the payload"
-        );
+        assert_eq!(thread_net(), before, "drop released the payload");
     }
 
     #[test]
     fn clone_and_into_vec_balance() {
         let t = Tensor::from_fn(vec![BIG], |i| i as f32);
-        let live_one = live_bytes();
+        let live_one = thread_net();
         let c = t.clone();
-        assert!(live_bytes() >= live_one + BIG_BYTES, "clone tracked");
-        let with_clone = live_bytes();
+        assert_eq!(thread_net(), live_one + BIG_BYTES, "clone tracked");
         let v = c.into_vec();
         assert_eq!(v.len(), BIG);
-        assert!(
-            live_bytes() <= with_clone - BIG_BYTES + SLACK,
+        assert_eq!(
+            thread_net(),
+            live_one,
             "into_vec released the tensor's accounting"
         );
         drop(t);
+        assert_eq!(thread_net(), live_one - BIG_BYTES);
     }
 
     #[test]
     fn reset_hwm_tracks_current_live() {
         let t = Tensor::zeros(vec![BIG]);
         reset_hwm();
-        assert!(hwm_bytes() >= BIG_BYTES, "reset keeps live tensors counted");
+        assert!(
+            hwm_bytes() >= BIG_BYTES as u64,
+            "reset keeps live tensors counted"
+        );
         drop(t);
     }
 }

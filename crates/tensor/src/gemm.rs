@@ -7,6 +7,9 @@
 //! * [`matmul_tn`]  — `C = Aᵀ · B` (e.g. weight gradients `Xᵀ · dY`)
 //! * [`matmul_nt`]  — `C = A · Bᵀ` (e.g. input gradients `dY · Wᵀ`)
 //!
+//! [`matmul_slice`] and [`matmul_nt_slice`] take `B` as a flat slice, so a
+//! layer's weights are read in place from the parameter store.
+//!
 //! All three route through one BLIS-style blocked loop nest
 //! ([`gemm_into`]): B panels are packed `NR` columns at a time, A panels
 //! `MR` rows at a time, and every `MR×NR` output tile is updated by the
@@ -152,6 +155,24 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = dims2(a, "matmul lhs");
     let (k2, n) = dims2(b, "matmul rhs");
     assert_eq!(k, k2, "matmul inner dims: lhs [{m},{k}] vs rhs [{k2},{n}]");
+    matmul_slice(a, b.data(), n)
+}
+
+/// [`matmul`] with `B: [k, n]` given as a flat row-major slice, so a layer
+/// can feed a weight range straight from its parameter store instead of
+/// copying it into a tensor first.
+///
+/// # Panics
+///
+/// Panics if `a` is not rank-2 or `b.len() != k * n`.
+pub fn matmul_slice(a: &Tensor, b: &[f32], n: usize) -> Tensor {
+    let (m, k) = dims2(a, "matmul lhs");
+    assert_eq!(
+        b.len(),
+        k * n,
+        "matmul rhs: {} values for [{k},{n}]",
+        b.len()
+    );
     let mut out = vec![0.0f32; m * n];
     gemm_into(
         &mut out,
@@ -159,7 +180,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
         n,
         k,
         ASrc::RowMajor(a.data()),
-        BSrc::RowMajor(b.data()),
+        BSrc::RowMajor(b),
     );
     Tensor::from_vec(vec![m, n], out)
 }
@@ -206,6 +227,23 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
         k, k2,
         "matmul_nt shared dim: lhs [{m},{k}] vs rhs [{n},{k2}]"
     );
+    matmul_nt_slice(a, b.data(), n)
+}
+
+/// [`matmul_nt`] with `B: [n, k]` given as a flat row-major slice (e.g. a
+/// `Linear` layer's `[out, in]` weight range, read in place).
+///
+/// # Panics
+///
+/// Panics if `a` is not rank-2 or `b.len() != n * k`.
+pub fn matmul_nt_slice(a: &Tensor, b: &[f32], n: usize) -> Tensor {
+    let (m, k) = dims2(a, "matmul_nt lhs");
+    assert_eq!(
+        b.len(),
+        n * k,
+        "matmul_nt rhs: {} values for [{n},{k}]",
+        b.len()
+    );
     let mut out = vec![0.0f32; m * n];
     gemm_into(
         &mut out,
@@ -213,7 +251,7 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
         n,
         k,
         ASrc::RowMajor(a.data()),
-        BSrc::ColMajor(b.data()),
+        BSrc::ColMajor(b),
     );
     Tensor::from_vec(vec![m, n], out)
 }

@@ -55,5 +55,5 @@ pub mod pool;
 pub mod simd;
 mod tensor;
 
-pub use gemm::{matmul, matmul_nt, matmul_tn};
+pub use gemm::{matmul, matmul_nt, matmul_nt_slice, matmul_slice, matmul_tn};
 pub use tensor::Tensor;

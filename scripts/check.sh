@@ -149,6 +149,14 @@ if ! grep -q '"serve.swaps":1' "$SERVE_TMP/digest.json"; then
     cat "$SERVE_TMP/digest.json" >&2
     exit 1
 fi
+# The swapped-in generation reports its dense trade: mnist-100-100's
+# 89,610 parameters held as f32.
+if ! grep -q '"serve.model.resident_bytes":358440' "$SERVE_TMP/digest.json" \
+    || ! grep -q '"serve.model.stored":' "$SERVE_TMP/digest.json"; then
+    echo "serve digest missing the resident-model gauges:" >&2
+    cat "$SERVE_TMP/digest.json" >&2
+    exit 1
+fi
 
 echo "== chaos smoke (seeded flood sheds 503s, server stays live, drain digest)"
 # Boot a deliberately tiny server (1-deep queue, slow flush, short
